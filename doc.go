@@ -106,7 +106,9 @@
 // allocations per message, and each connection is served by exactly
 // one reader and one batching writer goroutine at both ends — the
 // server demultiplexes every channel onto real core.Sessions through
-// the non-blocking futures path. The write path is credit-flow
+// non-blocking reply calls (core.Session.CallReply and SyncReply),
+// which answer from the handler without minting a future. The write
+// path is credit-flow
 // controlled, so request logging is bounded as well as non-blocking:
 // each channel holds a server-advertised request window, the shared
 // writer caps its pending batch at a byte budget, and a stalled peer

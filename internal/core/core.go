@@ -143,7 +143,7 @@ type Stats struct {
 	LocalQueries   int64 // client-side query executions
 	SyncsPerformed int64 // sync round-trips that reached the handler
 	SyncsElided    int64 // syncs skipped by dynamic coalescing
-	SyncsExecuted  int64 // sync barriers issued in total: parking round-trips (SyncNow) plus non-blocking SyncFuture barriers (the remote SYNC path)
+	SyncsExecuted  int64 // sync barriers issued in total: parking round-trips (SyncNow) plus non-blocking SyncReply barriers (the remote SYNC path)
 	Reservations   int64 // single-handler separate blocks entered
 	MultiResGroups int64 // multi-handler separate blocks entered
 	GuardRetries   int64 // wait-condition re-evaluations that failed

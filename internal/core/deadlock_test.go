@@ -13,21 +13,7 @@ func TestDetectDeadlockFindsQueryCycle(t *testing.T) {
 	a := rt.NewHandler("a")
 	b := rt.NewHandler("b")
 
-	c := rt.NewClient()
-	c.Separate(a, func(s *Session) {
-		s.Call(func() {
-			a.AsClient().Separate(b, func(sb *Session) {
-				QueryRemote(sb, func() int { return 1 })
-			})
-		})
-	})
-	c.Separate(b, func(s *Session) {
-		s.Call(func() {
-			b.AsClient().Separate(a, func(sa *Session) {
-				QueryRemote(sa, func() int { return 1 })
-			})
-		})
-	})
+	logQueryCycle(rt.NewClient(), a, b)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

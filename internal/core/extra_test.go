@@ -7,6 +7,30 @@ import (
 	"time"
 )
 
+// logQueryCycle logs the §2.5 query cycle through c: a call on a that
+// queries b, and a call on b that queries a. The cycle only forms if
+// both calls overlap, so each call waits at a barrier until both
+// handlers are inside their calls before either one queries. Each
+// handler then blocks inside queryRemote waiting for the other, which
+// is busy waiting in turn: a cycle of waits, on every run.
+func logQueryCycle(c *Client, a, b *Handler) {
+	var inCall sync.WaitGroup
+	inCall.Add(2)
+	cross := func(self, other *Handler) func(*Session) {
+		return func(s *Session) {
+			s.Call(func() {
+				inCall.Done()
+				inCall.Wait()
+				self.AsClient().Separate(other, func(so *Session) {
+					QueryRemote(so, func() int { return 1 })
+				})
+			})
+		}
+	}
+	c.Separate(a, cross(a, b))
+	c.Separate(b, cross(b, a))
+}
+
 // §2.5: QoQ excludes reservation deadlocks, but adding queries (which
 // block) reintroduces deadlock: two handlers each executing a call that
 // queries the other wait forever. This test documents that boundary;
@@ -19,23 +43,7 @@ func TestQueryCycleStillDeadlocksUnderQoQ(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		c := rt.NewClient()
-		// Log a call on a that queries b, and a call on b that queries
-		// a. Each handler blocks inside queryRemote waiting for the
-		// other, which is busy waiting in turn: a cycle of waits.
-		c.Separate(a, func(s *Session) {
-			s.Call(func() {
-				a.AsClient().Separate(b, func(sb *Session) {
-					QueryRemote(sb, func() int { return 1 })
-				})
-			})
-		})
-		c.Separate(b, func(s *Session) {
-			s.Call(func() {
-				b.AsClient().Separate(a, func(sa *Session) {
-					QueryRemote(sa, func() int { return 1 })
-				})
-			})
-		})
+		logQueryCycle(c, a, b)
 		// Wait for both handlers to finish — they never will.
 		c.Separate(a, func(s *Session) { s.SyncNow() })
 		close(done)

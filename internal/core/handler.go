@@ -540,11 +540,11 @@ func (h *Handler) execOne(s *Session, c call) (ended bool) {
 			emitOn(h.onWorker, obs.KindCall, uint64(h.id), d)
 		}
 		h.execCall(s, c.fn)
-	case callFuture:
-		// An asynchronous query: execute and resolve the future; nobody
-		// is parked on the session, so the handler just moves on.
-		v, err := h.execQuery(s, c.qfn)
-		resolveFuture(c.fut, v, err)
+	case callReply:
+		// An asynchronous query or barrier: execute and answer through
+		// the callback; nobody is parked on the session, so the handler
+		// just moves on.
+		c.reply(h.execQuery(s, c.qfn))
 	case callSync:
 		// The sync rule: the client is parked in wait; release it.
 		// The handler then loops straight back to dequeueing this
@@ -572,9 +572,15 @@ func (h *Handler) execCall(s *Session, fn func()) {
 	fn()
 }
 
+// execQuery runs qfn for a query, reporting the session's poison
+// instead if the block is poisoned, and poisoning it if qfn panics. A
+// nil qfn is a barrier: only the poison is reported.
 func (h *Handler) execQuery(s *Session, qfn func() any) (v any, err error) {
 	if e := s.errPub.Load(); e != nil {
 		return nil, e
+	}
+	if qfn == nil {
+		return nil, nil
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -29,7 +29,7 @@ const (
 	callCall callKind = iota
 	callSync
 	callQueryRemote
-	callFuture
+	callReply
 	callEnd
 )
 
@@ -37,10 +37,10 @@ const (
 // Go the closure is the package (heap allocation plus indirect call,
 // the same cost shape).
 type call struct {
-	kind callKind
-	fn   func()
-	qfn  func() any
-	fut  *future.Future // callFuture: the cell qfn's result resolves
+	kind  callKind
+	fn    func()
+	qfn   func() any
+	reply func(v any, err error) // callReply: receives qfn's result
 	// at is the obs enqueue stamp of an async call (callCall), written
 	// only while recording is enabled; the handler measures the
 	// log→execution latency from it. The SPSC queue's handoff orders
@@ -180,12 +180,46 @@ func (s *Session) queryRemote(qfn func() any) any {
 	return v
 }
 
+// CallReply logs an asynchronous query that answers through a
+// callback instead of a future: qfn executes on the handler after all
+// previously logged requests of this session, under the same poisoning
+// rules as a synchronous query, and the handler then calls reply
+// inline with its result — or with the session's *HandlerError if qfn
+// panicked or an earlier request poisoned the block. A nil qfn makes
+// the call a pure barrier that reports only the session's poison. The
+// client never blocks, and reply runs exactly once.
+//
+// This is the primitive for message-driven clients that must not
+// block, such as the remote server's connection reader. Reply calls
+// are not tracked for Shutdown: handlers drain every accepted request
+// before they retire, so each accepted reply call is answered.
+func (s *Session) CallReply(qfn func() any, reply func(v any, err error)) {
+	// The handler executes qfn and moves on without parking at the
+	// client's disposal, so the session is not synced afterwards.
+	s.synced = false
+	s.q.Enqueue(call{kind: callReply, qfn: qfn, reply: reply})
+}
+
+// SyncReply logs a non-blocking sync barrier: reply runs (with a nil
+// value) once every previously logged request of this separate block
+// has executed on the handler, and its error is the session's
+// *HandlerError if one of them panicked. It gives a client that must
+// not block the quiescence guarantee of Sync as a callback instead of
+// a parked goroutine. The handler does not park at the client's
+// disposal afterwards, so the session is not marked synced.
+func (s *Session) SyncReply(reply func(v any, err error)) {
+	s.h.rt.stats.syncsExecuted.Add(1)
+	s.CallReply(nil, reply)
+}
+
 // CallFuture logs an asynchronous query (the futures subsystem): qfn
 // executes on the handler after all previously logged requests of this
 // session, and its result resolves the returned future instead of
 // being shipped back through a sync round-trip — the client never
 // blocks. A handler-side panic fails the future with *HandlerError and
-// poisons the session exactly like a synchronous query.
+// poisons the session exactly like a synchronous query. It is
+// CallReply with a reply that resolves a future the runtime tracks, so
+// Shutdown can fail it if it is left pending.
 //
 // If qfn returns a *future.Future the runtime chains instead of
 // boxing: the returned future resolves when the inner one does
@@ -201,25 +235,8 @@ func (s *Session) CallFuture(qfn func() any) *future.Future {
 	// session resolves it (deadlock detection's await edges).
 	fut.SetOrigin(s.h)
 	rt.trackFuture(fut)
-	// The handler executes qfn and moves on without parking at the
-	// client's disposal, so the session is not synced afterwards.
-	s.synced = false
-	s.q.Enqueue(call{kind: callFuture, qfn: qfn, fut: fut})
+	s.CallReply(qfn, func(v any, err error) { resolveFuture(fut, v, err) })
 	return fut
-}
-
-// SyncFuture logs a non-blocking sync barrier: the returned future
-// resolves (with a nil value) once every previously logged request of
-// this separate block has executed on the handler. It is the
-// demultiplexer's sync — a message-driven client that must not block
-// (the remote server's connection reader) gets the quiescence guarantee
-// of Sync as a completion callback instead of a parked goroutine. The
-// handler does not park at the client's disposal afterwards, so the
-// session is not marked synced; a handler-side panic before the barrier
-// fails the future with the session's *HandlerError.
-func (s *Session) SyncFuture() *future.Future {
-	s.h.rt.stats.syncsExecuted.Add(1)
-	return s.CallFuture(func() any { return nil })
 }
 
 // checkErr surfaces a handler-side panic to the client.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scoopqs/internal/future"
@@ -52,6 +53,7 @@ func TestStatsSnapshotDuringStorm(t *testing.T) {
 			}
 
 			c := rt.NewClient()
+			var barriers atomic.Int64
 			for r := 0; r < rounds; r++ {
 				futs := make([]*future.Future, width)
 				for i, h := range hs {
@@ -66,6 +68,14 @@ func TestStatsSnapshotDuringStorm(t *testing.T) {
 						// the sync counters and the elide event path.
 						s.Sync()
 						s.Sync()
+						// A non-blocking barrier: executed, but neither
+						// performed nor elided. Its reply runs before the
+						// query below resolves.
+						s.SyncReply(func(_ any, err error) {
+							if err == nil {
+								barriers.Add(1)
+							}
+						})
 						futs[i] = QueryAsync(s, func() int64 { return sums[i] })
 					})
 				}
@@ -80,13 +90,18 @@ func TestStatsSnapshotDuringStorm(t *testing.T) {
 					t.Fatalf("handler %d executed %d calls, want %d", i, sums[i], calls*rounds)
 				}
 			}
-			// Exactly one sync performed and one elided per block, and
-			// every performed sync is an executed barrier: the three
-			// counters must agree to the call, even under the storm.
+			// Exactly one sync performed, one elided and one SyncReply
+			// barrier per block, and executed barriers are the performed
+			// syncs plus the SyncReply ones: the counters must agree to
+			// the call, even under the storm.
 			st := rt.Stats()
-			if want := int64(width * rounds); st.SyncsPerformed != want || st.SyncsExecuted != want || st.SyncsElided != want {
-				t.Fatalf("sync counters = performed %d / executed %d / elided %d, want %d each",
-					st.SyncsPerformed, st.SyncsExecuted, st.SyncsElided, want)
+			want := int64(width * rounds)
+			if got := barriers.Load(); got != want {
+				t.Fatalf("%d SyncReply barriers replied cleanly, want %d", got, want)
+			}
+			if st.SyncsPerformed != want || st.SyncsElided != want || st.SyncsExecuted != st.SyncsPerformed+want {
+				t.Fatalf("sync counters = performed %d / executed %d / elided %d, want %d / %d / %d",
+					st.SyncsPerformed, st.SyncsExecuted, st.SyncsElided, want, 2*want, want)
 			}
 		})
 	}

@@ -454,3 +454,67 @@ func TestRemoteBytesUnknownProc(t *testing.T) {
 		t.Fatalf("poisoned block err = %v", err)
 	}
 }
+
+// TestServerRepliesWithoutFutures pins the server's request path to
+// the core reply call kind: a loopback mix of bytes queries, typed
+// queries and syncs mints no future on the server runtime, and each
+// SYNC frame is exactly one executed sync barrier. Both counters are
+// exact on any host.
+func TestServerRepliesWithoutFutures(t *testing.T) {
+	for _, m := range serverModes {
+		t.Run(m.name, func(t *testing.T) {
+			addr, srv, shutdown := startBytesServer(t, m.cfg)
+			defer shutdown()
+			c, err := Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			const blocks, perBlock = 8, 30
+			var syncs, sum int64
+			for b := 0; b < blocks; b++ {
+				err := c.Separate("store", func(s *Session) error {
+					for i := 0; i < perBlock; i++ {
+						switch i % 3 {
+						case 0:
+							got, err := s.QueryBytes("echo", []byte{byte(i)})
+							if err != nil {
+								return err
+							}
+							if len(got) != 1 || got[0] != byte(i) {
+								t.Errorf("echo of %d returned %v", i, got)
+							}
+							Release(got)
+						case 1:
+							v, err := s.Query("add", 1)
+							if err != nil {
+								return err
+							}
+							sum++
+							if v != sum {
+								t.Errorf("add returned %d, want %d", v, sum)
+							}
+						case 2:
+							if err := s.Sync(); err != nil {
+								return err
+							}
+							syncs++
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := srv.rt.Stats()
+			if st.FuturesCreated != 0 {
+				t.Errorf("server runtime minted %d futures, want 0", st.FuturesCreated)
+			}
+			if st.SyncsExecuted != syncs {
+				t.Errorf("server SyncsExecuted = %d, want %d (one per SYNC frame)", st.SyncsExecuted, syncs)
+			}
+		})
+	}
+}

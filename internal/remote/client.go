@@ -518,7 +518,7 @@ func (s *Session) Query(fn string, args ...int64) (int64, error) {
 // Sync brings the remote handler to a quiescent point on this block's
 // private queue: when Sync returns, every previously logged call has
 // executed. It is a SYNC frame resolved through the server's
-// non-blocking barrier (core.Session.SyncFuture).
+// non-blocking barrier (core.Session.SyncReply).
 func (s *Session) Sync() error {
 	f, err := s.rs.pipelined(&frame{kind: fSync, ch: s.rs.ch})
 	if err != nil {

@@ -14,17 +14,17 @@
 // clients interleave on one stream while each channel keeps its own
 // private-queue ordering. The server end demultiplexes frames into
 // per-channel core.Session state and drives every reply through the
-// runtime's non-blocking futures path, so one reader goroutine and one
+// runtime's non-blocking reply calls, so one reader goroutine and one
 // writer goroutine serve all the channels of a connection — no
 // goroutine per logical client anywhere.
 //
 // Because the reader goroutine serves every channel, nothing it does
 // may block: reservations use the queue-of-queues (the server requires
-// a QoQ configuration), queries are logged with core.Session.CallFuture
-// and replied to from completion callbacks, and sync handshakes ride
-// core.Session.SyncFuture. All replies are id-tagged and may resolve in
-// any order; per-block ordering comes from the handler executing each
-// private queue in order, exactly as for local clients.
+// a QoQ configuration), queries are logged with core.Session.CallReply
+// and answered from the handler through its reply callback, and sync
+// handshakes ride core.Session.SyncReply. All replies are id-tagged and
+// may resolve in any order; per-block ordering comes from the handler
+// executing each private queue in order, exactly as for local clients.
 //
 // # Flow control
 //

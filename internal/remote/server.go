@@ -50,8 +50,9 @@ type BytesProc func(payload []byte) []byte
 // Nothing on the reader path may block — that is what lets one
 // goroutine serve hundreds of channels — so the server requires a
 // runtime with QoQ reservations (non-blocking enqueues) and drives
-// every query and sync through the non-blocking futures path; replies
-// are shipped from completion callbacks.
+// every query and sync through non-blocking reply calls
+// (core.Session.CallReply, SyncReply); replies are shipped from the
+// reply callbacks the handler runs once each request executes.
 //
 // The write path is bounded end to end. The writer's pending batch is
 // capped at WriteBudget bytes; replies that do not fit are deferred
@@ -650,23 +651,22 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			c.credit(sc, f.ch)
 			return true
 		}
-		// The non-blocking path: log the query as a future and keep
-		// demultiplexing; the completion callback runs on the handler
-		// (or pool worker) that resolves it and ships the reply from
-		// there through the shared batching writer — replying first,
-		// then crediting, so a replenished client's next request can
-		// never observe the connection before its predecessor's reply
-		// was accepted.
+		// The non-blocking path: log the query as a reply call and keep
+		// demultiplexing; the reply callback runs on the handler (or
+		// pool worker) that executes it and ships the reply from there
+		// through the shared batching writer — replying first, then
+		// crediting, so a replenished client's next request can never
+		// observe the connection before its predecessor's reply was
+		// accepted.
 		ch, id, args, lsc := f.ch, f.id, copyArgs(f.args), sc
-		sc.sess.CallFuture(func() any { return proc(args) }).
-			OnComplete(func(v any, err error) {
-				if err != nil {
-					c.reply(ch, id, 0, err)
-				} else {
-					c.reply(ch, id, v.(int64), nil)
-				}
-				c.credit(lsc, ch)
-			})
+		sc.sess.CallReply(func() any { return proc(args) }, func(v any, err error) {
+			if err != nil {
+				c.reply(ch, id, 0, err)
+			} else {
+				c.reply(ch, id, v.(int64), nil)
+			}
+			c.credit(lsc, ch)
+		})
 
 	case fCallB:
 		if sc == nil || !sc.open() {
@@ -725,22 +725,21 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			c.credit(sc, f.ch)
 			return true
 		}
-		// Same non-blocking future path as QUERY, with one ordering
+		// Same non-blocking reply path as QUERY, with one ordering
 		// constraint on top: the reply is encoded (or parked as a deep
 		// copy) BEFORE the request payload is released, because the
 		// proc's return may alias the request (an echo, a sub-slice).
 		ch, id, payload, lsc := f.ch, f.id, f.data, sc
-		sc.sess.CallFuture(func() any { return bproc(payload) }).
-			OnComplete(func(v any, err error) {
-				if err != nil {
-					c.reply(ch, id, 0, err)
-				} else {
-					out, _ := v.([]byte)
-					c.replyBytes(ch, id, out)
-				}
-				Release(payload)
-				c.credit(lsc, ch)
-			})
+		sc.sess.CallReply(func() any { return bproc(payload) }, func(v any, err error) {
+			if err != nil {
+				c.reply(ch, id, 0, err)
+			} else {
+				out, _ := v.([]byte)
+				c.replyBytes(ch, id, out)
+			}
+			Release(payload)
+			c.credit(lsc, ch)
+		})
 
 	case fSync:
 		if sc == nil || !sc.open() {
@@ -756,7 +755,7 @@ func (c *serverConn) handleFrame(f *frame) bool {
 			return true
 		}
 		ch, id, lsc := f.ch, f.id, sc
-		sc.sess.SyncFuture().OnComplete(func(_ any, err error) {
+		sc.sess.SyncReply(func(_ any, err error) {
 			c.reply(ch, id, 0, err)
 			c.credit(lsc, ch)
 		})

@@ -34,9 +34,14 @@ type versioned struct {
 // TVar is a transactional variable. Create with NewTVar; access only
 // through Read/Write inside Atomically.
 type TVar struct {
-	id      uint64
-	mu      sync.Mutex // commit lock
-	cur     atomic.Pointer[versioned]
+	id  uint64
+	mu  sync.Mutex // commit lock
+	cur atomic.Pointer[versioned]
+	// locked is the TL2 lock bit: set by a committing writer, while it
+	// holds mu, from before it takes its write version until every
+	// value of its write set is published. Readers and validators
+	// treat a set bit as a conflict.
+	locked  atomic.Bool
 	wmu     sync.Mutex
 	waiters []chan struct{}
 }
@@ -94,6 +99,12 @@ type retrySignal struct{}
 func (tx *Txn) Read(tv *TVar) any {
 	if v, ok := tx.writes[tv]; ok {
 		return v
+	}
+	// The lock bit is checked before the value is loaded: a writer
+	// whose version is <= rv set the bit before taking that version, so
+	// a clear bit here means its values are already published.
+	if tv.locked.Load() {
+		panic(conflictSignal{})
 	}
 	p := tv.cur.Load()
 	if p.version > tx.rv {
@@ -170,8 +181,8 @@ func attempt(tx *Txn, f func(tx *Txn) any) (v any, oc outcome) {
 }
 
 // commit validates the read set and publishes the write set, locking
-// written variables in id order (deadlock-free) and bumping the global
-// clock.
+// written variables in id order (deadlock-free), setting their lock
+// bits, and bumping the global clock.
 func (tx *Txn) commit() bool {
 	if len(tx.writes) == 0 {
 		// Read-only transactions validated incrementally in Read: if
@@ -186,16 +197,22 @@ func (tx *Txn) commit() bool {
 	sort.Slice(locked, func(i, j int) bool { return locked[i].id < locked[j].id })
 	for _, tv := range locked {
 		tv.mu.Lock()
+		tv.locked.Store(true)
 	}
 	unlock := func() {
 		for i := len(locked) - 1; i >= 0; i-- {
+			locked[i].locked.Store(false)
 			locked[i].mu.Unlock()
 		}
 	}
 	// Validate: every variable we read must still be at the version we
-	// saw (writes by others bump versions, and writers hold the lock
-	// while publishing, which we now hold for our own write set).
+	// saw, and must not be locked by another committing writer (which
+	// may publish a newer value at any moment).
 	for tv, ver := range tx.reads {
+		if _, own := tx.writes[tv]; !own && tv.locked.Load() {
+			unlock()
+			return false
+		}
 		if tv.cur.Load().version != ver {
 			unlock()
 			return false
